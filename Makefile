@@ -34,10 +34,11 @@ bench:
 bench-json:
 	$(GO) run ./cmd/sqpeer-bench -bench-json BENCH_PR1.json
 
-# Batch data plane: the CLAIM-BATCH columnar-vs-RowWire sweep at
-# headline sizes (rewrites BENCH_PR6.json), gated against the committed
-# baseline — the run fails if the batch plane's allocs/row regresses
-# >20% at any matching sweep point. See DESIGN.md §12.
+# Batch data plane: the CLAIM-BATCH sweep at headline sizes (rewrites
+# BENCH_PR6.json) — every answer checked against centralized evaluation
+# over the union of the bases — gated against the committed baseline:
+# the run fails if allocs/row regresses >20% at any matching sweep
+# point. See DESIGN.md §12.
 batch:
 	$(GO) run ./cmd/sqpeer-bench -exp batch -alloc-baseline BENCH_PR6.json
 

@@ -78,14 +78,14 @@ type PlanChangeInfo struct {
 	Subplan []byte `json:"subplan,omitempty"`
 }
 
-// PayloadEnc names the encoding of a packet's Payload, so a root can
-// decode Results bodies from peers running either data plane.
+// PayloadEnc names the encoding of a packet's Payload; a root accepts
+// Results bodies only as batch frames.
 type PayloadEnc int
 
 // Payload encodings.
 const (
-	// EncJSON is the legacy encoding: control bodies and row-at-a-time
-	// Results payloads are JSON documents.
+	// EncJSON marks a JSON document: every control body (plan changes,
+	// statistics, trace records, failures).
 	EncJSON PayloadEnc = iota
 	// EncBatch marks a Results payload framed by the rql batch codec
 	// (length-prefixed binary columns with a per-batch term dictionary).

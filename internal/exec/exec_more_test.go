@@ -11,6 +11,7 @@ import (
 	"sqpeer/internal/optimizer"
 	"sqpeer/internal/pattern"
 	"sqpeer/internal/plan"
+	"sqpeer/internal/rdf"
 	"sqpeer/internal/stats"
 )
 
@@ -72,7 +73,7 @@ func TestQueryShippingFallsBackWithoutRemoteScans(t *testing.T) {
 	peers, _ := paperSystem(t, 2)
 	p1 := peers["P1"]
 	p1.Engine.Policy = optimizer.QueryShipping
-	p1.Engine.Cost = nil // no statistics: positional fallback
+	p1.Engine.Cost = nil // no statistics: every join stays at the root
 	q := gen.PaperQuery()
 	// Both scans local: the join must stay at P1.
 	j := plan.NewJoin(plan.NewScan(q.Patterns[0], "P1"), plan.NewScan(q.Patterns[1], "P1"))
@@ -85,6 +86,87 @@ func TestQueryShippingFallsBackWithoutRemoteScans(t *testing.T) {
 	}
 	if m := p1.Engine.Metrics(); m.SubplansShipped != 0 {
 		t.Errorf("local-only plan shipped %d subplans", m.SubplansShipped)
+	}
+}
+
+// TestEstimateAndExecutionAgreeOnJoinSite: under every policy, on the
+// paper query's raw and optimized plans, each outermost join runs where
+// EstimateCost placed it — both follow optimizer.JoinSite. A join shipped
+// away from the root shows in the ledger under its site; a join the
+// estimate keeps at the root is never shipped.
+func TestEstimateAndExecutionAgreeOnJoinSite(t *testing.T) {
+	for _, policy := range []optimizer.ShippingPolicy{
+		optimizer.DataShipping, optimizer.QueryShipping, optimizer.HybridShipping,
+	} {
+		for _, which := range []string{"raw", "optimized"} {
+			t.Run(policy.String()+"/"+which, func(t *testing.T) {
+				peers, _ := paperSystem(t, 3)
+				p1 := peers["P1"]
+				p1.Engine.Policy = policy
+				// P1 has learned that P2 holds by far the most prop1 data,
+				// so query shipping pushes every join over a P2 scan there.
+				// Freezing the catalog (no piggybacked refresh mid-run)
+				// keeps estimate and execution on the same statistics.
+				p1.Catalog.PutPeer(&stats.PeerStats{Peer: "P2", Slots: 4,
+					PropertyCard: map[rdf.IRI]int{gen.N1("prop1"): 1000}})
+				p1.Engine.StatsSink = nil
+				pr, err := p1.PlanQuery(gen.PaperQuery())
+				if err != nil {
+					t.Fatalf("PlanQuery: %v", err)
+				}
+				pl := pr.Raw
+				if which == "optimized" {
+					pl = pr.Optimized
+				}
+				estimated := map[string]pattern.PeerID{}
+				for _, d := range p1.Engine.Cost.EstimateCost(pl.Root, p1.ID, policy).Decisions {
+					estimated[d.Join] = d.Site
+				}
+				if _, err := p1.Engine.Execute(pl); err != nil {
+					t.Fatalf("Execute: %v", err)
+				}
+				shipped := map[string]pattern.PeerID{}
+				for _, ent := range p1.Engine.Ledger() {
+					if ent.Outcome == "complete" {
+						shipped[ent.Subplan] = ent.Site
+					}
+				}
+				joins := outermostJoins(pl.Root)
+				if len(joins) == 0 {
+					t.Fatal("plan has no join; the test is vacuous")
+				}
+				for _, j := range joins {
+					want, ok := estimated[j.String()]
+					if !ok {
+						t.Fatalf("EstimateCost recorded no decision for %s", j)
+					}
+					got, ok := shipped[j.String()]
+					if !ok {
+						got = p1.ID // not shipped: the join ran at the root
+					}
+					if got != want {
+						t.Errorf("%s: estimate places it at %s, execution ran it at %s", j, want, got)
+					}
+				}
+			})
+		}
+	}
+}
+
+// outermostJoins returns the joins of a plan not nested under another
+// join, in plan order.
+func outermostJoins(n plan.Node) []*plan.Join {
+	switch v := n.(type) {
+	case *plan.Join:
+		return []*plan.Join{v}
+	case *plan.Union:
+		var out []*plan.Join
+		for _, in := range v.Inputs {
+			out = append(out, outermostJoins(in)...)
+		}
+		return out
+	default:
+		return nil
 	}
 }
 

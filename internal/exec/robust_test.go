@@ -166,13 +166,13 @@ func TestFailureQuarantinesWithHealthTracker(t *testing.T) {
 	}
 }
 
-// MaxReplans sentinel: the zero value keeps the default of 3, NoReplans
-// disables adaptation entirely.
-func TestNoReplansSentinel(t *testing.T) {
+// Without a Router the engine does not adapt: a peer failure surfaces as
+// *PeerFailure, with no replan and no migration.
+func TestNoRouterSurfacesPeerFailure(t *testing.T) {
 	peers, _ := paperSystem(t, 3)
 	p1 := peers["P1"]
 	p1.Engine.Parallelism = 1
-	p1.Engine.MaxReplans = exec.NoReplans
+	p1.Engine.Router = nil
 	peers["P4"].Net.Fail("P4")
 
 	pr, err := p1.PlanQuery(gen.PaperQuery())
@@ -181,14 +181,14 @@ func TestNoReplansSentinel(t *testing.T) {
 	}
 	_, err = p1.Engine.Execute(pr.Optimized)
 	if err == nil {
-		t.Fatal("NoReplans must surface the failure instead of adapting")
+		t.Fatal("without a router the failure must surface instead of adapting")
 	}
 	var pf *exec.PeerFailure
 	if pf, _ = failurePeer(err); pf == nil || pf.Peer != "P4" {
 		t.Fatalf("want *PeerFailure for P4, got %v", err)
 	}
-	if m := p1.Engine.Metrics(); m.Replans != 0 {
-		t.Errorf("NoReplans performed %d replans", m.Replans)
+	if m := p1.Engine.Metrics(); m.Replans != 0 || m.Migrations != 0 {
+		t.Errorf("adaptation ran without a router: %d replans, %d migrations", m.Replans, m.Migrations)
 	}
 }
 

@@ -11,19 +11,20 @@ import (
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/obs"
+	"sqpeer/internal/pattern"
 	"sqpeer/internal/peer"
+	"sqpeer/internal/rdf"
 	"sqpeer/internal/rql"
 )
 
 func init() {
-	register("batch", "CLAIM-BATCH: columnar batch plane vs RowWire ablation — throughput, allocs/row, wire bytes (§12)", claimBatch)
+	register("batch", "CLAIM-BATCH: columnar batch data plane — throughput, allocs/row, wire bytes, oracle-equal answers (§12)", claimBatch)
 }
 
 // batchSweep is the machine-readable artifact (BENCH_PR6.json). When
 // Smoke is set the sweep ran at reduced scale (inside go test, where
-// wall-clock margins are meaningless — especially under -race) and only
-// the correctness checks apply; headline numbers come from
-// `sqpeer-bench -exp batch`.
+// wall-clock numbers are meaningless — especially under -race); headline
+// numbers come from `sqpeer-bench -exp batch`.
 type batchSweep struct {
 	Providers int          `json:"providers"`
 	Props     int          `json:"props"`
@@ -31,8 +32,8 @@ type batchSweep struct {
 	Points    []batchPoint `json:"points"`
 }
 
-// batchModeStats is one data-plane mode's cost at one sweep point.
-type batchModeStats struct {
+// batchStats is the data plane's cost at one sweep point.
+type batchStats struct {
 	Seconds      float64 `json:"seconds"`
 	RowsPerSec   float64 `json:"rowsPerSec"`
 	AllocsPerRow float64 `json:"allocsPerRow"`
@@ -41,20 +42,13 @@ type batchModeStats struct {
 }
 
 type batchPoint struct {
-	Chains      int            `json:"chains"`
-	RowsShipped int            `json:"rowsShipped"`
-	AnswerRows  int            `json:"answerRows"`
-	Batch       batchModeStats `json:"batch"`
-	RowWire     batchModeStats `json:"rowWire"`
-	Speedup     float64        `json:"speedup"`
-	AllocRatio  float64        `json:"allocRatio"`
-	DigestEqual bool           `json:"digestEqual"`
-	Digest      string         `json:"digest"`
+	Chains      int        `json:"chains"`
+	RowsShipped int        `json:"rowsShipped"`
+	AnswerRows  int        `json:"answerRows"`
+	Batch       batchStats `json:"batch"`
+	OracleEqual bool       `json:"oracleEqual"`
+	Digest      string     `json:"digest"`
 }
-
-// profileExecHook, when set (by the profiling test hook), brackets the
-// measured Execute call: called with false before, true after.
-var profileExecHook func(stop bool)
 
 // batchRun is one measured execution over a fresh system.
 type batchRun struct {
@@ -65,25 +59,27 @@ type batchRun struct {
 	bytesPerRow  float64
 	payloadBytes int
 	digest       uint64
+	// oracleDigest digests the centralized answer: rql.Eval over the
+	// union of the provider bases.
+	oracleDigest uint64
 }
 
-// claimBatch measures the columnar batch data plane against the RowWire
-// ablation (per-row JSON packets) on a multi-peer scan/join workload: a
-// client P0 joins two property scans, each horizontally sliced across
-// four provider peers, so every shipped row crosses the simulated wire
-// once. The claim under test: on the ≥1M-row headline point the batch
-// plane is ≥5× faster end to end and allocates ≥10× fewer heap objects
-// per shipped row, with byte-identical answers to the row-at-a-time
-// path at every point.
+// claimBatch measures the columnar batch data plane on a multi-peer
+// scan/join workload: a client P0 joins two property scans, each
+// horizontally sliced across four provider peers, so every shipped row
+// crosses the simulated wire once. The claims under test: the answer
+// equals centralized evaluation over the union of the bases at every
+// point, a same-seed rerun reproduces it, and the ≥1M-row headline point
+// is reached. Allocation cost is gated separately against the committed
+// BENCH_PR6.json (`sqpeer-bench -alloc-baseline`).
 func claimBatch() *Report {
-	r := &Report{ID: "batch", Title: "CLAIM-BATCH: columnar batch plane vs RowWire ablation — throughput, allocs/row, wire bytes (§12)", Pass: true}
+	r := &Report{ID: "batch", Title: "CLAIM-BATCH: columnar batch data plane — throughput, allocs/row, wire bytes, oracle-equal answers (§12)", Pass: true}
 	const (
 		providers = 4
 		props     = 2
 	)
-	// Two data-plane modes per point; inside a test binary the sweep
-	// shrinks: experiment results stay assertable, wall-clock margins do
-	// not (the race detector alone skews them >10×).
+	// Inside a test binary the sweep shrinks: answers stay assertable,
+	// wall-clock numbers do not (the race detector alone skews them >10×).
 	chainSweep := []int{50_000, 200_000, 500_000}
 	smoke := testing.Testing()
 	if smoke {
@@ -91,32 +87,24 @@ func claimBatch() *Report {
 	}
 
 	sweep := batchSweep{Providers: providers, Props: props, Smoke: smoke}
-	allDigestsEqual, allFewerBytes := true, true
-	r.linef("  p1⋈p2 over %d providers, horizontal slices; both modes per point:", providers)
-	r.linef("  %8s %9s | %8s %11s %9s | %8s %11s %9s | %7s %7s", "chains", "shipped",
-		"batch-s", "rows/s", "allocs/r", "json-s", "rows/s", "allocs/r", "speedup", "alloc×")
+	allOracleEqual := true
+	r.linef("  p1⋈p2 over %d providers, horizontal slices:", providers)
+	r.linef("  %8s %9s | %8s %11s %9s %10s", "chains", "shipped", "secs", "rows/s", "allocs/r", "payload-B")
 	for _, chains := range chainSweep {
-		bt := runBatchPoint(chains, providers, props, false)
-		rw := runBatchPoint(chains, providers, props, true)
+		bt := runBatchPoint(chains, providers, props)
 		pt := batchPoint{
 			Chains:      chains,
 			RowsShipped: bt.rowsShipped,
 			AnswerRows:  bt.answerRows,
-			Batch:       bt.modeStats(),
-			RowWire:     rw.modeStats(),
-			Speedup:     rw.secs / bt.secs,
-			AllocRatio:  rw.allocsPerRow / bt.allocsPerRow,
-			DigestEqual: bt.digest == rw.digest && bt.rowsShipped == rw.rowsShipped,
+			Batch:       bt.stats(),
+			OracleEqual: bt.digest == bt.oracleDigest,
 			Digest:      fmt.Sprintf("%016x", bt.digest),
 		}
 		sweep.Points = append(sweep.Points, pt)
-		allDigestsEqual = allDigestsEqual && pt.DigestEqual
-		allFewerBytes = allFewerBytes && bt.payloadBytes < rw.payloadBytes
-		r.linef("  %8d %9d | %8.2f %11.0f %9.1f | %8.2f %11.0f %9.1f | %6.1f× %6.1f×",
+		allOracleEqual = allOracleEqual && pt.OracleEqual
+		r.linef("  %8d %9d | %8.2f %11.0f %9.2f %10d",
 			chains, pt.RowsShipped,
-			pt.Batch.Seconds, pt.Batch.RowsPerSec, pt.Batch.AllocsPerRow,
-			pt.RowWire.Seconds, pt.RowWire.RowsPerSec, pt.RowWire.AllocsPerRow,
-			pt.Speedup, pt.AllocRatio)
+			pt.Batch.Seconds, pt.Batch.RowsPerSec, pt.Batch.AllocsPerRow, pt.Batch.PayloadBytes)
 		// Feed the registry the same way the Fig benches do, so the
 		// allocation trajectory is queryable alongside throughput.
 		usPerRow := pt.Batch.Seconds * 1e6 / float64(max(1, pt.RowsShipped))
@@ -127,18 +115,15 @@ func claimBatch() *Report {
 
 	// Determinism: a same-seed rerun of the smallest point must land on
 	// the same digest (the workload and engine have no hidden state).
-	rerun := runBatchPoint(chainSweep[0], providers, props, false)
+	rerun := runBatchPoint(chainSweep[0], providers, props)
 	deterministic := fmt.Sprintf("%016x", rerun.digest) == sweep.Points[0].Digest
-	r.check("batch and RowWire answers byte-identical at every point", allDigestsEqual)
+	r.check("answer equals centralized rql.Eval over the union of the bases at every point", allOracleEqual)
 	r.check("same-seed batch rerun reproduces the digest", deterministic)
-	r.check("binary frames move fewer payload bytes than JSON at every point", allFewerBytes)
 	if smoke {
 		r.linef("  (reduced smoke sweep inside go test; run `sqpeer-bench -exp batch` for headline sizes)")
 	} else {
 		head := sweep.Points[len(sweep.Points)-1]
 		r.check("headline point ships ≥1M rows across the wire", head.RowsShipped >= 1_000_000)
-		r.check("≥5× rows/sec over the RowWire ablation at the headline point", head.Speedup >= 5)
-		r.check("≥10× fewer allocs per shipped row at the headline point", head.AllocRatio >= 10)
 	}
 
 	if blob, err := json.MarshalIndent(sweep, "", "  "); err == nil {
@@ -150,13 +135,13 @@ func claimBatch() *Report {
 	return r
 }
 
-// modeStats converts a run into its artifact form.
-func (b batchRun) modeStats() batchModeStats {
+// stats converts a run into its artifact form.
+func (b batchRun) stats() batchStats {
 	rps := 0.0
 	if b.secs > 0 {
 		rps = float64(b.rowsShipped) / b.secs
 	}
-	return batchModeStats{
+	return batchStats{
 		Seconds:      b.secs,
 		RowsPerSec:   rps,
 		AllocsPerRow: b.allocsPerRow,
@@ -165,16 +150,25 @@ func (b batchRun) modeStats() batchModeStats {
 	}
 }
 
-// runBatchPoint builds a fresh system — `providers` simple peers each
-// holding a horizontal slice of `chains` instance chains, plus a client
-// root P0 with no base so every result row is shipped — and executes the
+// runBatchPoint measures one sweep point over fresh provider bases, then
+// evaluates the same query centrally over their union for the oracle
+// check.
+func runBatchPoint(chains, providers, props int) batchRun {
+	syn := gen.NewSynthetic(props, false)
+	bases := syn.Bases(providers, chains, gen.Horizontal)
+	out := measureBatchPoint(syn, bases)
+	out.oracleDigest = rowDigest(oracleAnswer(syn, bases))
+	return out
+}
+
+// measureBatchPoint builds a system over bases — one simple peer per
+// base, each holding a horizontal slice of the chains, plus a client root
+// P0 with no base so every result row is shipped — and executes the
 // unoptimized chain query (unions and join at the root, no join
 // push-down) once, measuring wall time and allocator cost around the
 // Execute call only. Parallelism 1 keeps dispatch order, and therefore
-// the digest, deterministic.
-func runBatchPoint(chains, providers, props int, rowWire bool) batchRun {
-	syn := gen.NewSynthetic(props, false)
-	bases := syn.Bases(providers, chains, gen.Horizontal)
+// the digest, deterministic. The system is garbage once it returns.
+func measureBatchPoint(syn *gen.Synthetic, bases map[pattern.PeerID]*rdf.Base) batchRun {
 	net := network.New()
 	var nodes []*peer.Peer
 	for id, base := range bases {
@@ -183,13 +177,11 @@ func runBatchPoint(chains, providers, props int, rowWire bool) batchRun {
 		if err != nil {
 			panic(err)
 		}
-		p.Engine.RowWire = rowWire
-		// Both modes stream with the same analytic frame size: the
-		// 256-row default is tuned for interactive first-row latency and
-		// would charge each plane thousands of packet envelopes at the
+		// The 256-row default frame is tuned for interactive first-row
+		// latency and would charge thousands of packet envelopes at the
 		// headline point, measuring the envelope codec instead of the
-		// data planes under comparison. 1024 keeps frame payloads under
-		// the allocator's 32KB large-object threshold on both planes.
+		// data plane. 1024 keeps frame payloads under the allocator's
+		// 32KB large-object threshold.
 		p.Engine.BatchSize = 1024
 		nodes = append(nodes, p)
 	}
@@ -199,27 +191,20 @@ func runBatchPoint(chains, providers, props int, rowWire bool) batchRun {
 	if err != nil {
 		panic(err)
 	}
-	p0.Engine.RowWire = rowWire
 	p0.Engine.BatchSize = 1024
 	for _, p := range nodes {
 		p0.Learn(p.Advertisement())
 	}
-	pr, err := p0.PlanQuery(syn.Query(1, props))
+	pr, err := p0.PlanQuery(syn.Query(1, syn.NProps))
 	if err != nil {
 		panic(err)
 	}
 
 	runtime.GC()
 	before := obs.ReadAllocs()
-	if profileExecHook != nil {
-		profileExecHook(false)
-	}
 	clock := StartClock()
 	rows, execErr := p0.Engine.Execute(pr.Raw)
 	secs := clock.Seconds()
-	if profileExecHook != nil {
-		profileExecHook(true)
-	}
 	delta := obs.ReadAllocs().Delta(before)
 	if execErr != nil {
 		panic(execErr)
@@ -235,8 +220,40 @@ func runBatchPoint(chains, providers, props int, rowWire bool) batchRun {
 	return out
 }
 
+// oracleAnswer evaluates the chain query centrally over the union of the
+// bases. It folds every base into the lowest-id one instead of copying
+// them all into a fresh base, collecting each spent base before the next
+// fold, so the oracle never holds a second copy of the data (at the
+// headline point the bases alone take gigabytes). The bases are spent
+// afterwards.
+func oracleAnswer(syn *gen.Synthetic, bases map[pattern.PeerID]*rdf.Base) *rql.ResultSet {
+	ids := make([]pattern.PeerID, 0, len(bases))
+	for id := range bases {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	union := bases[ids[0]]
+	for _, id := range ids[1:] {
+		// Frees the base folded last (and, first time round, the
+		// measured system).
+		runtime.GC()
+		union.AddAll(bases[id].Triples())
+		delete(bases, id)
+	}
+	runtime.GC()
+	c, err := rql.ParseAndAnalyze(syn.RQL(1, syn.NProps), syn.Schema)
+	if err != nil {
+		panic(err)
+	}
+	rs, err := rql.Eval(c, union)
+	if err != nil {
+		panic(err)
+	}
+	return rs
+}
+
 // rowDigest folds the rendered, sorted answer rows into one fnv64a
-// value: two modes agreeing on it means byte-identical answers.
+// value: two answers agreeing on it are byte-identical.
 func rowDigest(rows *rql.ResultSet) uint64 {
 	h := fnv.New64a()
 	for _, line := range rows.Sorted() {

@@ -5,9 +5,9 @@
 // or Batch in internal/exec or internal/channel silently reintroduces the
 // per-row allocation storm the batch plane removed. Control bodies
 // (PlanChange, Stats, trace records, the packet envelope itself) stay
-// JSON — they carry no rows, so the analyzer does not match them. The two
-// legitimate row-JSON sites — the RowWire ablation's encoder and the
-// mixed-mode decoder at the root — carry //lint:allow jsonrow directives.
+// JSON — they carry no rows, so the analyzer does not match them. The
+// data plane has no legitimate row-JSON site, so the analyzer carries no
+// allows.
 package jsonrow
 
 import (

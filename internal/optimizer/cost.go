@@ -16,8 +16,8 @@ const (
 	// DataShipping executes every join at the plan's root peer: input
 	// peers ship their raw results up.
 	DataShipping ShippingPolicy = iota
-	// QueryShipping pushes each join down to the input peer expected to
-	// hold the largest input, which gathers the other inputs, joins
+	// QueryShipping pushes each join down to the peer of the largest
+	// estimated scan below it, which gathers the other inputs, joins
 	// locally, and ships only the (smaller) join result up.
 	QueryShipping
 	// HybridShipping decides per join by comparing estimated costs of all
@@ -144,18 +144,17 @@ type CostReport struct {
 }
 
 // EstimateCost estimates the cost of executing the plan rooted at root
-// with results delivered to rootPeer under the given shipping policy. For
-// HybridShipping each join independently picks the cheapest site among
-// the root peer and the peers of the scans below it.
+// with results delivered to rootPeer under the given shipping policy.
+// Every join is placed by JoinSite, the rule the executor follows too.
 func (cm *CostModel) EstimateCost(root plan.Node, rootPeer pattern.PeerID, policy ShippingPolicy) CostReport {
 	rep := &CostReport{}
-	rep.TotalMS = cm.cost(root, rootPeer, rootPeer, policy, rep)
+	rep.TotalMS = cm.cost(root, rootPeer, policy, rep)
 	return *rep
 }
 
 // cost returns the time to produce node n's result at site execSite (the
-// consumer), given the overall root peer for candidate enumeration.
-func (cm *CostModel) cost(n plan.Node, execSite, rootPeer pattern.PeerID, policy ShippingPolicy, rep *CostReport) float64 {
+// consumer).
+func (cm *CostModel) cost(n plan.Node, execSite pattern.PeerID, policy ShippingPolicy, rep *CostReport) float64 {
 	switch v := n.(type) {
 	case *plan.Scan:
 		if v.IsHole() {
@@ -168,13 +167,14 @@ func (cm *CostModel) cost(n plan.Node, execSite, rootPeer pattern.PeerID, policy
 	case *plan.Union:
 		total := 0.0
 		for _, in := range v.Inputs {
-			total += cm.cost(in, execSite, rootPeer, policy, rep)
+			total += cm.cost(in, execSite, policy, rep)
 		}
 		// Merging rows at the consumer.
 		total += cm.CardOf(v) * cm.PerRowMS * cm.Catalog.Peer(execSite).LoadFactor()
 		return total
 	case *plan.Join:
-		site, cost := cm.placeJoin(v, execSite, rootPeer, policy, rep)
+		site := cm.JoinSite(v, execSite, policy)
+		cost := cm.joinCostAt(v, site, execSite, policy, rep)
 		rep.Decisions = append(rep.Decisions, Decision{Join: v.String(), Site: site, CostMS: cost})
 		return cost
 	default:
@@ -182,80 +182,69 @@ func (cm *CostModel) cost(n plan.Node, execSite, rootPeer pattern.PeerID, policy
 	}
 }
 
-// placeJoin chooses the join's execution site per policy and returns the
-// site and the cost of computing the join there and shipping the result
-// to execSite.
-func (cm *CostModel) placeJoin(j *plan.Join, execSite, rootPeer pattern.PeerID, policy ShippingPolicy, rep *CostReport) (pattern.PeerID, float64) {
-	evalAt := func(site pattern.PeerID) float64 {
-		total := 0.0
-		inputRows := 0.0
-		for _, in := range j.Inputs {
-			total += cm.cost(in, site, rootPeer, policy, rep)
-			inputRows += cm.CardOf(in)
-		}
-		total += inputRows * cm.PerRowMS * cm.Catalog.Peer(site).LoadFactor()
-		total += cm.Catalog.TransferMS(site, execSite, int(cm.CardOf(j)*float64(cm.BytesPerRow)))
-		return total
+// joinCostAt returns the cost of computing join j at site — its inputs
+// delivered there and joined there — and shipping the result to
+// execSite. Placements below j are recorded into rep.
+func (cm *CostModel) joinCostAt(j *plan.Join, site, execSite pattern.PeerID, policy ShippingPolicy, rep *CostReport) float64 {
+	total := 0.0
+	inputRows := 0.0
+	for _, in := range j.Inputs {
+		total += cm.cost(in, site, policy, rep)
+		inputRows += cm.CardOf(in)
+	}
+	total += inputRows * cm.PerRowMS * cm.Catalog.Peer(site).LoadFactor()
+	total += cm.Catalog.TransferMS(site, execSite, int(cm.CardOf(j)*float64(cm.BytesPerRow)))
+	return total
+}
+
+// JoinSite is the one join-placement rule: the peer at which policy
+// evaluates join j when its result is consumed at execSite. The executor
+// ships a join to this site and EstimateCost prices it there, so the
+// estimate and the execution agree. A nil model has no statistics and
+// places every join at execSite, whatever the policy.
+func (cm *CostModel) JoinSite(j *plan.Join, execSite pattern.PeerID, policy ShippingPolicy) pattern.PeerID {
+	if cm == nil {
+		return execSite
 	}
 	switch policy {
 	case DataShipping:
-		return execSite, evalAt(execSite)
+		return execSite
 	case QueryShipping:
-		site := cm.largestInputPeer(j)
-		if site == "" {
-			site = execSite
-		}
-		return site, evalAt(site)
-	default: // HybridShipping: cost-based
+		// Push the join to the data: the peer of the largest estimated
+		// scan anywhere below it, holes skipped.
 		best := execSite
-		bestCost := math.Inf(1)
-		for _, cand := range cm.candidateSites(j, execSite) {
-			// Placement decisions below are re-derived per candidate; we
-			// must not record them for discarded candidates, so probe with
-			// a throwaway report.
-			probe := &CostReport{}
-			c := func() float64 {
-				total := 0.0
-				inputRows := 0.0
-				for _, in := range j.Inputs {
-					total += cm.cost(in, cand, rootPeer, policy, probe)
-					inputRows += cm.CardOf(in)
-				}
-				total += inputRows * cm.PerRowMS * cm.Catalog.Peer(cand).LoadFactor()
-				total += cm.Catalog.TransferMS(cand, execSite, int(cm.CardOf(j)*float64(cm.BytesPerRow)))
-				return total
-			}()
-			if c < bestCost {
-				bestCost = c
-				best = cand
+		bestCard := -1.0
+		for _, s := range plan.Scans(j) {
+			if s.IsHole() {
+				continue
 			}
-		}
-		// Re-evaluate at the winner, recording nested decisions for real.
-		return best, evalAt(best)
-	}
-}
-
-// largestInputPeer returns the peer of the scan input with the largest
-// estimated cardinality (query shipping pushes the join to the data).
-func (cm *CostModel) largestInputPeer(j *plan.Join) pattern.PeerID {
-	var best pattern.PeerID
-	bestCard := -1.0
-	for _, in := range j.Inputs {
-		if s, ok := in.(*plan.Scan); ok && !s.IsHole() {
 			if c := cm.CardOf(s); c > bestCard {
 				bestCard = c
 				best = s.Peer
 			}
 		}
+		return best
+	default: // HybridShipping: the cheapest candidate site
+		best := execSite
+		bestCost := math.Inf(1)
+		for _, cand := range cm.candidateSites(j, execSite) {
+			// Placements below are re-derived per candidate; a throwaway
+			// report keeps discarded candidates' decisions out of the
+			// caller's.
+			if c := cm.joinCostAt(j, cand, execSite, policy, &CostReport{}); c < bestCost {
+				bestCost = c
+				best = cand
+			}
+		}
+		return best
 	}
-	return best
 }
 
-// candidateSites enumerates the root peer plus every peer scanned below
-// the join, deduplicated, in deterministic order.
-func (cm *CostModel) candidateSites(j *plan.Join, rootPeer pattern.PeerID) []pattern.PeerID {
-	out := []pattern.PeerID{rootPeer}
-	seen := map[pattern.PeerID]bool{rootPeer: true}
+// candidateSites enumerates the consumer site plus every peer scanned
+// below the join, deduplicated, in deterministic order.
+func (cm *CostModel) candidateSites(j *plan.Join, execSite pattern.PeerID) []pattern.PeerID {
+	out := []pattern.PeerID{execSite}
+	seen := map[pattern.PeerID]bool{execSite: true}
 	for _, s := range plan.Scans(j) {
 		if !s.IsHole() && !seen[s.Peer] {
 			seen[s.Peer] = true

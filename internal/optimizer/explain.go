@@ -33,10 +33,7 @@ func (cm *CostModel) Explain(root plan.Node, rootPeer pattern.PeerID) string {
 				rec(in, depth+1)
 			}
 		case *plan.Join:
-			site := "?"
-			probe := &CostReport{}
-			s, _ := cm.placeJoin(v, rootPeer, rootPeer, HybridShipping, probe)
-			site = string(s)
+			site := cm.JoinSite(v, rootPeer, HybridShipping)
 			fmt.Fprintf(&b, "%s⋈ %-22s rows≈%-8.0f hybrid-site=%s\n", pad, "", cm.CardOf(v), site)
 			for _, in := range v.Inputs {
 				rec(in, depth+1)

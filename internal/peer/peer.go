@@ -359,28 +359,11 @@ func New(cfg Config, net *network.Network) (*Peer, error) {
 // localSource adapts the peer's base to the executor.
 type localSource struct{ p *Peer }
 
-// EvalScan evaluates and joins the patterns against the local base.
-func (ls localSource) EvalScan(patterns []pattern.PathPattern) *rql.ResultSet {
-	var acc *rql.ResultSet
-	for _, pp := range patterns {
-		rs := rql.EvalPathPattern(ls.p.Base, ls.p.Schema, pp)
-		if acc == nil {
-			acc = rs
-		} else {
-			acc = acc.Join(rs)
-		}
-	}
-	if acc == nil {
-		acc = rql.NewResultSet()
-	}
-	return acc
-}
-
-// EvalScanBatch is EvalScan on the columnar plane (exec.BatchSource):
-// each pattern scans straight into a batch — interned into the calling
-// execution's shared dictionary — and multi-pattern subplans join
-// vectorized, so local evaluation never materializes row maps and the
-// joins between same-store scans never remap an id.
+// EvalScanBatch evaluates and joins the patterns against the local base
+// (exec.LocalSource): each pattern scans straight into a batch — interned
+// into the calling execution's shared dictionary — and multi-pattern
+// subplans join vectorized, so local evaluation never materializes row
+// maps and the joins between same-store scans never remap an id.
 func (ls localSource) EvalScanBatch(patterns []pattern.PathPattern, store *rql.TermStore) *rql.Batch {
 	var acc *rql.Batch
 	for _, pp := range patterns {
